@@ -510,16 +510,16 @@ func (r *run) assemble(start uint64) {
 	for _, b := range r.c.Backends {
 		st.Sys.Merge(&b.T.Sys.M.Stats)
 		st.PerBackend = append(st.PerBackend, BackendStats{
-			Index:   b.Index,
-			Health:  b.Health(),
-			Routed:  b.Routed,
-			OK:      b.OK,
-			Shed:    b.Shed,
-			Errors:  b.Errors,
-			Dropped: b.Dropped,
-			Drains:  b.Drains,
+			Index:    b.Index,
+			Health:   b.Health(),
+			Routed:   b.Routed,
+			OK:       b.OK,
+			Shed:     b.Shed,
+			Errors:   b.Errors,
+			Dropped:  b.Dropped,
+			Drains:   b.Drains,
 			Readmits: b.Readmits,
-			Sys:     b.T.Sys.M.Stats,
+			Sys:      b.T.Sys.M.Stats,
 		})
 	}
 }

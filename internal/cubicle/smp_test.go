@@ -170,9 +170,18 @@ func smpCrossingWorkload(t *testing.T, iters int) ([2]uint64, Stats, Stats) {
 	workers := [2]*Env{newWorker(m, 0), newWorker(m, 1)}
 	barID := ts.cubs["BAR"].ID
 
-	// Per-worker pages, allocated before the goroutines start.
-	addrs := [2]vm.Addr{ts.heapIn(t, "FOO", 64), ts.heapIn(t, "FOO", 64)}
+	// Per-worker pages (page-sized allocations are page-aligned) and
+	// windows, set up before the goroutines start: a shared page would let
+	// the workers retag each other's data, and the order of the windows in
+	// FOO's list sets which worker's traps search one entry further.
+	addrs := [2]vm.Addr{ts.heapIn(t, "FOO", vm.PageSize), ts.heapIn(t, "FOO", vm.PageSize)}
 	barH := m.MustResolve(ts.cubs["FOO"].ID, "BAR", "bar")
+	for c, e := range workers {
+		enterOn(ts, e, "FOO")
+		wid := e.WindowInit()
+		e.WindowAdd(wid, addrs[c], 64)
+		e.WindowOpen(wid, barID)
+	}
 
 	var wg sync.WaitGroup
 	for c := 0; c < 2; c++ {
@@ -180,11 +189,7 @@ func smpCrossingWorkload(t *testing.T, iters int) ([2]uint64, Stats, Stats) {
 		go func(c int) {
 			defer wg.Done()
 			e := workers[c]
-			enterOn(ts, e, "FOO")
 			defer leaveOn(ts, e)
-			wid := e.WindowInit()
-			e.WindowAdd(wid, addrs[c], 64)
-			e.WindowOpen(wid, barID)
 			for i := 0; i < iters; i++ {
 				barH.Call(e, uint64(addrs[c]), uint64(i%64))
 				e.StoreByte(addrs[c], byte(i))

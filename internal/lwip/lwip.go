@@ -248,6 +248,9 @@ type Module struct {
 	// Reaped counts sockets reclaimed by ReapClosed.
 	TxBackpressure uint64
 	Reaped         uint64
+	// RxMalformed counts received frames dropped because they are shorter
+	// than a header or their header Len overruns the frame.
+	RxMalformed uint64
 }
 
 // New creates the stack; deployment wiring must call SetDeps.
@@ -349,11 +352,22 @@ func (l *Module) poll(e *cubicle.Env) uint64 {
 		activity++
 		l.SegmentsRx++
 		e.Work(stackWork)
+		if n < HdrSize {
+			l.RxMalformed++
+			continue
+		}
 		// Decode the staged frame header through a stack buffer: the
 		// checked read is a single span-TLB probe, no heap allocation.
 		var hb [HdrSize]byte
 		e.Read(l.stage, hb[:])
-		l.handleFrame(e, DecodeHeader(hb[:]))
+		h := DecodeHeader(hb[:])
+		if uint64(h.Len) > n-HdrSize {
+			// The header claims more payload than the frame carries: the
+			// staging buffer past the frame holds an earlier frame's bytes.
+			l.RxMalformed++
+			continue
+		}
+		l.handleFrame(e, h)
 	}
 	// Transmit path, in deterministic creation order.
 	for _, s := range l.order {

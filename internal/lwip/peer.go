@@ -11,6 +11,12 @@ import (
 // the NETDEV wire. It lives entirely outside the simulated machine —
 // exactly like the external clients of the paper's evaluation — so its
 // processing costs nothing on the virtual clock.
+//
+// The peer allocates nothing per frame once warm: outbound frames are
+// encoded into one scratch buffer (the wire copies them), and received
+// payloads are copied into fixed-size chunks drawn from a per-peer free
+// list until PeerConn.Received folds them into the connection's
+// contiguous buffer and returns them.
 type Peer struct {
 	w        *netdev.Wire
 	conns    map[uint16]*PeerConn // keyed by the peer-side port
@@ -23,11 +29,21 @@ type Peer struct {
 	// generator has opened, and emits the deferred ACKs in a deterministic
 	// order (map iteration order is not).
 	ackq []*PeerConn
+	// Malformed counts frames dropped because they are shorter than a
+	// header or their header Len overruns the frame.
+	Malformed uint64
+
+	scratch []byte   // outbound frame encode buffer
+	chunks  [][]byte // free receive chunks, each recvChunk bytes of capacity
 }
+
+// recvChunk is the capacity of one receive chunk.
+const recvChunk = 16 << 10
 
 // NewPeer attaches a host peer to the wire.
 func NewPeer(w *netdev.Wire) *Peer {
-	return &Peer{w: w, conns: make(map[uint16]*PeerConn), nextPort: 40000, Window: 1 << 20}
+	return &Peer{w: w, conns: make(map[uint16]*PeerConn), nextPort: 40000, Window: 1 << 20,
+		scratch: make([]byte, HdrSize+MSS)}
 }
 
 // PeerConn is one host-side TCP connection.
@@ -39,8 +55,11 @@ type PeerConn struct {
 	rcvNxt               uint32
 	lastAcked            uint32
 	srvWnd               uint32
-	recv                 bytes.Buffer
 	Established, FinRcvd bool
+	// recv is the contiguous received stream, append-only; parts holds
+	// bytes received since the last Received call, in peer-pool chunks.
+	recv  []byte
+	parts [][]byte
 	// pending holds outbound application data not yet sent to the wire
 	// (respecting the server's advertised receive window).
 	pending []byte
@@ -61,9 +80,10 @@ func (p *Peer) Connect(serverPort uint16) *PeerConn {
 	return c
 }
 
-// send emits one frame from the peer to the server.
+// send emits one frame from the peer to the server. The payload is at
+// most one MSS (flush segments at the MSS).
 func (p *Peer) send(c *PeerConn, flags uint8, payload []byte) {
-	frame := make([]byte, HdrSize+len(payload))
+	frame := p.scratch[:HdrSize+len(payload)]
 	EncodeHeader(frame, Header{
 		SrcPort: c.localPort, DstPort: c.remotePort,
 		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: flags,
@@ -94,9 +114,14 @@ func (p *Peer) Pump() int {
 		}
 		n++
 		if len(f) < HdrSize {
+			p.Malformed++
 			continue
 		}
 		h := DecodeHeader(f)
+		if int(h.Len) > len(f)-HdrSize {
+			p.Malformed++
+			continue
+		}
 		c, ok := p.conns[h.DstPort]
 		if !ok {
 			continue
@@ -126,7 +151,7 @@ func (p *Peer) Pump() int {
 			continue
 		}
 		if h.Len > 0 && h.Seq == c.rcvNxt {
-			c.recv.Write(f[HdrSize : HdrSize+int(h.Len)])
+			c.store(f[HdrSize : HdrSize+int(h.Len)])
 			c.rcvNxt += uint32(h.Len)
 		}
 		if h.Flags&FlagFIN != 0 && h.Seq == c.rcvNxt {
@@ -194,8 +219,61 @@ func (c *PeerConn) Release() {
 	delete(c.p.conns, c.localPort)
 }
 
-// Received returns everything received so far.
-func (c *PeerConn) Received() []byte { return c.recv.Bytes() }
+// store copies received payload bytes into the connection's chunks.
+func (c *PeerConn) store(b []byte) {
+	for len(b) > 0 {
+		k := len(c.parts)
+		if k == 0 || len(c.parts[k-1]) == recvChunk {
+			c.parts = append(c.parts, c.p.chunk())
+			k++
+		}
+		last := c.parts[k-1]
+		n := copy(last[len(last):recvChunk], b)
+		c.parts[k-1] = last[:len(last)+n]
+		b = b[n:]
+	}
+}
+
+// chunk returns an empty receive chunk from the free list, or a new one.
+func (p *Peer) chunk() []byte {
+	if k := len(p.chunks); k > 0 {
+		ch := p.chunks[k-1]
+		p.chunks = p.chunks[:k-1]
+		return ch
+	}
+	return make([]byte, 0, recvChunk)
+}
+
+// Received returns everything received so far as one contiguous slice.
+// The slice is read-only and the buffer behind it is append-only: bytes
+// already returned are never rewritten, so slices taken from an earlier
+// call stay valid as more data arrives, and after Release. The first call
+// builds the buffer at its exact size; later calls append what arrived
+// since. Either way the receive chunks go back to the peer's free list.
+func (c *PeerConn) Received() []byte {
+	if len(c.parts) == 0 {
+		return c.recv
+	}
+	if c.recv == nil {
+		c.recv = bytes.Join(c.parts, nil)
+	} else {
+		for _, ch := range c.parts {
+			c.recv = append(c.recv, ch...)
+		}
+	}
+	for i, ch := range c.parts {
+		c.p.chunks = append(c.p.chunks, ch[:0])
+		c.parts[i] = nil
+	}
+	c.parts = c.parts[:0]
+	return c.recv
+}
 
 // ReceivedLen returns the number of bytes received so far.
-func (c *PeerConn) ReceivedLen() int { return c.recv.Len() }
+func (c *PeerConn) ReceivedLen() int {
+	n := len(c.recv)
+	for _, ch := range c.parts {
+		n += len(ch)
+	}
+	return n
+}

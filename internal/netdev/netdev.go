@@ -24,9 +24,19 @@ const driverWork = 1400
 // Wire is the physical medium: frame queues between the device and the
 // host-side peer. It is trusted-harness state (hardware), not cubicle
 // memory.
+//
+// Frames are recycled through a per-wire free list of MTU-capacity
+// buffers, so the wire allocates nothing in steady state. A frame
+// returned by HostRecv is lent to the caller until its next HostRecv
+// call; every other frame is owned by the wire.
 type Wire struct {
-	toHost   [][]byte
-	toDevice [][]byte
+	toHost, toDevice frameQueue
+	// free holds recycled MTU-capacity frames. A plain list, not a
+	// sync.Pool: each wire has one owner, and a list keeps allocation
+	// counts deterministic.
+	free [][]byte
+	// lent is the frame HostRecv handed out last, recycled on the next call.
+	lent []byte
 	// Cap bounds each direction's queue in frames (0 = unbounded, the
 	// seed behaviour). A full receive queue drops host frames like a NIC
 	// ring overflow; a full transmit queue pushes EAGAIN back into the
@@ -48,6 +58,62 @@ type Wire struct {
 	dropper func() bool
 }
 
+// frameQueue is a FIFO of frames that pops by head index, so a queue
+// that keeps draining reuses its backing array instead of reslicing it
+// away.
+type frameQueue struct {
+	q    [][]byte
+	head int
+}
+
+func (fq *frameQueue) len() int { return len(fq.q) - fq.head }
+
+func (fq *frameQueue) push(f []byte) {
+	if fq.head > 0 && len(fq.q) == cap(fq.q) {
+		// Full backing array with dead slots at the front: compact rather
+		// than grow.
+		n := copy(fq.q, fq.q[fq.head:])
+		clear(fq.q[n:])
+		fq.q, fq.head = fq.q[:n], 0
+	}
+	fq.q = append(fq.q, f)
+}
+
+// peek returns the head frame without removing it; the queue must not be
+// empty.
+func (fq *frameQueue) peek() []byte { return fq.q[fq.head] }
+
+func (fq *frameQueue) pop() []byte {
+	f := fq.q[fq.head]
+	fq.q[fq.head] = nil
+	if fq.head++; fq.head == len(fq.q) {
+		fq.q, fq.head = fq.q[:0], 0
+	}
+	return f
+}
+
+// frame returns an n-byte frame, recycled from the free list when one is
+// available. Frames larger than the MTU (hostile host input) are
+// allocated exactly and never pooled.
+func (w *Wire) frame(n int) []byte {
+	if n > MTU {
+		return make([]byte, n)
+	}
+	if k := len(w.free); k > 0 {
+		f := w.free[k-1]
+		w.free = w.free[:k-1]
+		return f[:n]
+	}
+	return make([]byte, n, MTU)
+}
+
+// recycle returns a frame to the free list.
+func (w *Wire) recycle(f []byte) {
+	if cap(f) == MTU {
+		w.free = append(w.free, f[:0])
+	}
+}
+
 // SetDropper installs fn as the wire's in-flight loss decision: it is
 // consulted once per frame in each direction (host→device before the
 // frame reaches the receive queue, device→host after the device believes
@@ -57,9 +123,10 @@ type Wire struct {
 // detaches.
 func (w *Wire) SetDropper(fn func() bool) { w.dropper = fn }
 
-// HostSend injects a frame from the host side (load generator). When the
-// bounded receive queue is full the frame is dropped — the silicon has no
-// flow control to the wire, exactly like a NIC ring overflow.
+// HostSend injects a frame from the host side (load generator). The wire
+// copies it, so the caller may reuse frame at once. When the bounded
+// receive queue is full the frame is dropped — the silicon has no flow
+// control to the wire, exactly like a NIC ring overflow.
 func (w *Wire) HostSend(frame []byte) {
 	if w.dropper != nil && w.dropper() {
 		// Lost in flight before reaching the NIC: the host-side sender has
@@ -68,29 +135,33 @@ func (w *Wire) HostSend(frame []byte) {
 		w.InjectedDropsIn++
 		return
 	}
-	if w.Cap > 0 && len(w.toDevice) >= w.Cap {
+	if w.Cap > 0 && w.toDevice.len() >= w.Cap {
 		w.DropsIn++
 		return
 	}
-	f := make([]byte, len(frame))
+	f := w.frame(len(frame))
 	copy(f, frame)
-	w.toDevice = append(w.toDevice, f)
+	w.toDevice.push(f)
 	w.FramesIn++
 	w.BytesIn += uint64(len(frame))
 }
 
-// HostRecv pops a frame destined for the host side, or nil.
+// HostRecv pops a frame destined for the host side, or nil. The frame is
+// lent: it stays valid until the next HostRecv call, which recycles it.
 func (w *Wire) HostRecv() []byte {
-	if len(w.toHost) == 0 {
+	if w.lent != nil {
+		w.recycle(w.lent)
+		w.lent = nil
+	}
+	if w.toHost.len() == 0 {
 		return nil
 	}
-	f := w.toHost[0]
-	w.toHost = w.toHost[1:]
-	return f
+	w.lent = w.toHost.pop()
+	return w.lent
 }
 
 // HostPending returns the number of frames waiting for the host.
-func (w *Wire) HostPending() int { return len(w.toHost) }
+func (w *Wire) HostPending() int { return w.toHost.len() }
 
 // Module is the NETDEV component state.
 type Module struct {
@@ -114,50 +185,53 @@ func (d *Module) ensureStaging(e *cubicle.Env) {
 
 // tx transmits a frame from caller memory: DMA-copies it through the
 // device bounce buffer onto the wire. The caller must have opened a
-// window over the frame buffer for NETDEV.
-func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
+// window over the frame buffer for NETDEV. Returns bytes sent and errno.
+func (d *Module) tx(e *cubicle.Env, ptr, n uint64) (uint64, uint64) {
 	e.Work(driverWork)
 	if n == 0 || n > MTU {
-		return []uint64{0, 22} // EINVAL
+		return 0, 22 // EINVAL
 	}
-	if d.wire.Cap > 0 && len(d.wire.toHost) >= d.wire.Cap {
+	w := d.wire
+	if w.Cap > 0 && w.toHost.len() >= w.Cap {
 		// Bounded transmit queue: explicit backpressure to the stack
 		// instead of unbounded growth.
-		d.wire.DropsOut++
-		return []uint64{0, 11} // EAGAIN
+		w.DropsOut++
+		return 0, 11 // EAGAIN
 	}
 	d.ensureStaging(e)
 	e.Memcpy(d.staging, vm.Addr(ptr), n)
-	frame := make([]byte, n)
+	frame := w.frame(int(n))
 	e.Read(d.staging, frame)
-	d.wire.FramesOut++
-	d.wire.BytesOut += n
-	if d.wire.dropper != nil && d.wire.dropper() {
+	w.FramesOut++
+	w.BytesOut += n
+	if w.dropper != nil && w.dropper() {
 		// Lost in flight after leaving the device: the transmit succeeded
 		// as far as the stack can tell, the peer never sees the frame.
-		d.wire.InjectedDropsOut++
-		return []uint64{n, 0}
+		w.InjectedDropsOut++
+		w.recycle(frame)
+		return n, 0
 	}
-	d.wire.toHost = append(d.wire.toHost, frame)
-	return []uint64{n, 0}
+	w.toHost.push(frame)
+	return n, 0
 }
 
-// rx receives the next pending frame into caller memory; returns 0 bytes
-// when no frame is pending.
-func (d *Module) rx(e *cubicle.Env, ptr, maxLen uint64) []uint64 {
+// rx receives the next pending frame into caller memory; returns the
+// frame length (0 when no frame is pending) and errno.
+func (d *Module) rx(e *cubicle.Env, ptr, maxLen uint64) (uint64, uint64) {
 	e.Work(driverWork)
-	if len(d.wire.toDevice) == 0 {
-		return []uint64{0, 0}
+	w := d.wire
+	if w.toDevice.len() == 0 {
+		return 0, 0
 	}
-	frame := d.wire.toDevice[0]
-	if uint64(len(frame)) > maxLen {
-		return []uint64{0, 22}
+	if uint64(len(w.toDevice.peek())) > maxLen {
+		return 0, 22
 	}
-	d.wire.toDevice = d.wire.toDevice[1:]
+	frame := w.toDevice.pop()
 	d.ensureStaging(e)
 	e.Write(d.staging, frame)
 	e.Memcpy(vm.Addr(ptr), d.staging, uint64(len(frame)))
-	return []uint64{uint64(len(frame)), 0}
+	w.recycle(frame)
+	return uint64(len(frame)), 0
 }
 
 // Component returns the NETDEV component for the builder.
@@ -167,14 +241,16 @@ func (d *Module) Component() *cubicle.Component {
 		Kind: cubicle.KindIsolated,
 		Exports: []cubicle.ExportDecl{
 			{Name: "netdev_tx", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return d.tx(e, a[0], a[1])
+				n, errno := d.tx(e, a[0], a[1])
+				return []uint64{n, errno}
 			}},
 			{Name: "netdev_rx", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return d.rx(e, a[0], a[1])
+				n, errno := d.rx(e, a[0], a[1])
+				return []uint64{n, errno}
 			}},
 			{Name: "netdev_rx_ready", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(60)
-				return []uint64{uint64(len(d.wire.toDevice)), 0}
+				return []uint64{uint64(d.wire.toDevice.len()), 0}
 			}},
 		},
 	}

@@ -54,7 +54,9 @@ type KAResponse struct {
 
 // Next parses the next complete response out of the connection's receive
 // buffer. It returns (nil, nil) when more bytes are needed — drive the
-// system and Pump, then ask again.
+// system and Pump, then ask again. The response body is a read-only slice
+// of the connection's append-only receive buffer: it stays valid as later
+// responses arrive.
 func (k *KAConn) Next() (*KAResponse, error) {
 	buf := k.Conn.Received()[k.off:]
 	hdrEnd := bytes.Index(buf, []byte("\r\n\r\n"))
@@ -94,8 +96,7 @@ func (k *KAConn) Next() (*KAResponse, error) {
 	if len(buf) < total {
 		return nil, nil
 	}
-	body := make([]byte, clen)
-	copy(body, buf[hdrEnd+4:total])
+	body := buf[hdrEnd+4 : total : total]
 	k.off += total
 	k.Served++
 	if closing {

@@ -10,8 +10,6 @@ package siege
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"cubicleos/internal/cycles"
@@ -190,18 +188,7 @@ func (r *openLoopRun) finish() *OpenLoopStats {
 			st.Dropped++
 			continue
 		}
-		raw := string(f.conn.Received())
-		head, _, ok := strings.Cut(raw, "\r\n\r\n")
-		if !ok {
-			st.Dropped++
-			continue
-		}
-		fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-		if len(fields) < 2 {
-			st.Dropped++
-			continue
-		}
-		status, err := strconv.Atoi(fields[1])
+		status, _, err := parseResponse(f.conn.Received())
 		if err != nil {
 			st.Dropped++
 			continue

@@ -6,10 +6,11 @@
 package siege
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
@@ -208,45 +209,7 @@ type Result struct {
 // Fetch issues GET path and drives the system until the response is
 // complete (server closes after each response, HTTP/1.0 style).
 func (t *Target) Fetch(path string) (*Result, error) {
-	start := t.Sys.M.Clock.Cycles()
-	conn := t.Peer.Connect(80)
-	defer conn.Release()
-	req := fmt.Sprintf("GET %s HTTP/1.0\r\nHost: cubicle\r\nUser-Agent: siege-sim\r\n\r\n", path)
-	sentReq := false
-	for i := 0; i < 5_000_000; i++ {
-		t.stepH.Call(t.Sys.Env)
-		t.Peer.Pump()
-		if conn.Established && !sentReq {
-			conn.Send([]byte(req))
-			sentReq = true
-		}
-		if conn.FinRcvd {
-			break
-		}
-	}
-	if !conn.FinRcvd {
-		return nil, fmt.Errorf("siege: request for %s did not complete", path)
-	}
-	raw := string(conn.Received())
-	head, body, ok := strings.Cut(raw, "\r\n\r\n")
-	if !ok {
-		return nil, fmt.Errorf("siege: malformed response %q", truncate(raw, 80))
-	}
-	fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("siege: malformed status line %q", truncate(head, 80))
-	}
-	status, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return nil, fmt.Errorf("siege: bad status %q", fields[1])
-	}
-	used := t.Sys.M.Clock.Cycles() - start
-	return &Result{
-		Status:  status,
-		Body:    []byte(body),
-		Cycles:  used,
-		Latency: cycles.Duration(used + t.RequestFloor),
-	}, nil
+	return t.FetchUntil(path, math.MaxUint64)
 }
 
 // ErrHalted is returned by FetchUntil when the virtual clock reached the
@@ -286,26 +249,38 @@ func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 	if !conn.FinRcvd {
 		return nil, fmt.Errorf("siege: request for %s did not complete", path)
 	}
-	raw := string(conn.Received())
-	head, body, ok := strings.Cut(raw, "\r\n\r\n")
-	if !ok {
-		return nil, fmt.Errorf("siege: malformed response %q", truncate(raw, 80))
-	}
-	fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("siege: malformed status line %q", truncate(head, 80))
-	}
-	status, err := strconv.Atoi(fields[1])
+	status, body, err := parseResponse(conn.Received())
 	if err != nil {
-		return nil, fmt.Errorf("siege: bad status %q", fields[1])
+		return nil, err
 	}
 	used := clk.Cycles() - start
 	return &Result{
 		Status:  status,
-		Body:    []byte(body),
+		Body:    body,
 		Cycles:  used,
 		Latency: cycles.Duration(used + t.RequestFloor),
 	}, nil
+}
+
+// parseResponse splits a complete HTTP/1.0 response into its status code
+// and body. The body is a slice of raw, capped at its end so an append to
+// it cannot write into the connection's receive buffer.
+func parseResponse(raw []byte) (status int, body []byte, err error) {
+	hdrEnd := bytes.Index(raw, []byte("\r\n\r\n"))
+	if hdrEnd < 0 {
+		return 0, nil, fmt.Errorf("siege: malformed response %q", truncate(raw, 80))
+	}
+	head := raw[:hdrEnd]
+	line, _, _ := bytes.Cut(head, []byte("\r\n"))
+	fields := bytes.Fields(line)
+	if len(fields) < 2 {
+		return 0, nil, fmt.Errorf("siege: malformed status line %q", truncate(head, 80))
+	}
+	status, err = strconv.Atoi(string(fields[1]))
+	if err != nil {
+		return 0, nil, fmt.Errorf("siege: bad status %q", fields[1])
+	}
+	return status, raw[hdrEnd+4 : len(raw) : len(raw)], nil
 }
 
 // Step drives one server iteration (nginx_step) without pumping the
@@ -314,11 +289,11 @@ func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 // a quarantined NGINX refuses the crossing with a ContainedFault.
 func (t *Target) Step() uint64 { return t.stepH.Call(t.Sys.Env)[0] }
 
-func truncate(s string, n int) string {
+func truncate[T ~string | ~[]byte](s T, n int) string {
 	if len(s) <= n {
-		return s
+		return string(s)
 	}
-	return s[:n] + "..."
+	return string(s[:n]) + "..."
 }
 
 // Edges returns the cross-cubicle call-count table of the run so far —
@@ -368,19 +343,13 @@ func (t *Target) FetchConcurrent(paths []string) ([]*Result, error) {
 	}
 	out := make([]*Result, len(reqs))
 	for i, r := range reqs {
-		raw := string(r.conn.Received())
-		head, body, ok := strings.Cut(raw, "\r\n\r\n")
-		if !ok {
-			return nil, fmt.Errorf("siege: malformed response for %s", r.path)
-		}
-		fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-		status, err := strconv.Atoi(fields[1])
+		status, body, err := parseResponse(r.conn.Received())
 		if err != nil {
-			return nil, fmt.Errorf("siege: bad status for %s", r.path)
+			return nil, fmt.Errorf("siege: response for %s: %w", r.path, err)
 		}
 		out[i] = &Result{
 			Status:  status,
-			Body:    []byte(body),
+			Body:    body,
 			Cycles:  r.cycles,
 			Latency: cycles.Duration(r.cycles + t.RequestFloor),
 		}

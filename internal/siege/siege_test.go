@@ -1,6 +1,7 @@
 package siege_test
 
 import (
+	"bytes"
 	"testing"
 
 	"cubicleos/internal/cubicle"
@@ -67,5 +68,59 @@ func TestFetchConcurrentSingle(t *testing.T) {
 	}
 	if len(rs) != 1 || rs[0].Status != 200 || len(rs[0].Body) != 2048 {
 		t.Fatalf("concurrent single: %+v", rs[0])
+	}
+}
+
+// TestReleasedReceiveSurvivesPoolReuse: the bytes Received returns for a
+// released connection, and a Fetch body sliced from them, stay
+// byte-identical after 100 later connections have recycled the wire's
+// frames and the peer's receive chunks.
+func TestReleasedReceiveSurvivesPoolReuse(t *testing.T) {
+	tgt := siege.MustNewTarget(cubicle.ModeUnikraft)
+	a := make([]byte, 40<<10)
+	for i := range a {
+		a[i] = byte(i*7 + i>>8)
+	}
+	b := bytes.Repeat([]byte("b"), 50<<10)
+	if err := tgt.PutFile("/a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tgt.PutFile("/b", b); err != nil {
+		t.Fatal(err)
+	}
+	conn := tgt.Peer.Connect(80)
+	sent := false
+	for i := 0; i < 100_000 && !conn.FinRcvd; i++ {
+		tgt.Step()
+		tgt.Peer.Pump()
+		if conn.Established && !sent {
+			conn.Send([]byte("GET /a HTTP/1.0\r\n\r\n"))
+			sent = true
+		}
+	}
+	conn.Release()
+	raw := conn.Received()
+	if !bytes.HasSuffix(raw, a) {
+		t.Fatalf("response of %d bytes does not end with the file", len(raw))
+	}
+	first, err := tgt.Fetch("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Body, a) {
+		t.Fatal("fetch /a: body differs from the file")
+	}
+	want := bytes.Clone(raw)
+	for i := 0; i < 100; i++ {
+		r, err := tgt.Fetch("/b")
+		if err != nil || r.Status != 200 || !bytes.Equal(r.Body, b) {
+			t.Fatalf("fetch %d of /b: err=%v", i, err)
+		}
+	}
+	if !bytes.Equal(raw, want) || !bytes.Equal(conn.Received(), want) {
+		t.Fatal("released connection's received bytes changed under pool reuse")
+	}
+	if !bytes.Equal(first.Body, a) {
+		t.Fatal("Fetch body changed under pool reuse")
 	}
 }

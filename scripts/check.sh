@@ -7,6 +7,7 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race ./...
