@@ -9,10 +9,12 @@
 // fleet is never amplified, and routing failures surface as a typed
 // *RouteFault.
 //
-// Everything runs on virtual clocks in one goroutine: the driver
-// advances cluster time in fixed quanta and steps every backend until
-// its local clock catches up, which is what makes a chaos-laden
-// failover run bit-identical for a fixed seed.
+// Everything runs on virtual clocks: the driver advances cluster time in
+// fixed quanta and steps every backend until its local clock catches
+// up. The backends share nothing, so each quantum steps them in
+// parallel and joins them at a barrier; every cross-backend decision is
+// taken on the driver's goroutine after the join, which is what makes
+// a chaos-laden failover run bit-identical for a fixed seed.
 package cluster
 
 import (

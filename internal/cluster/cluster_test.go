@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cubicleos/internal/cubicle"
@@ -157,6 +158,71 @@ func TestClusterDeterministicUnderChaos(t *testing.T) {
 		if !reflect.DeepEqual(st, first) {
 			t.Fatalf("run %d diverged:\n got  %+v\n want %+v", i, st, first)
 		}
+	}
+}
+
+// TestClusterDeterministicAcrossGOMAXPROCS: the backends of a quantum
+// step on parallel goroutines, so the same chaos run — kill, hedges,
+// wire drops, checkpoints — must report identical Stats, every
+// backend's monitor counters included, whether the host runs those
+// goroutines one at a time or four at once.
+func TestClusterDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, serial := runChaos(t, 0)
+	runtime.GOMAXPROCS(4)
+	_, parallel := runChaos(t, 0)
+	if serial.Failovers == 0 || serial.Hedges == 0 || serial.PerBackend[2].Sys.WarmRestarts == 0 {
+		t.Fatalf("chaos run too tame: failovers %d hedges %d warm restarts of the killed backend %d",
+			serial.Failovers, serial.Hedges, serial.PerBackend[2].Sys.WarmRestarts)
+	}
+	for i := range serial.PerBackend {
+		if !reflect.DeepEqual(parallel.PerBackend[i], serial.PerBackend[i]) {
+			t.Fatalf("backend %d diverged between GOMAXPROCS 1 and 4:\n got  %+v\n want %+v",
+				i, parallel.PerBackend[i], serial.PerBackend[i])
+		}
+	}
+	if !reflect.DeepEqual(parallel, serial) {
+		t.Fatalf("run diverged between GOMAXPROCS 1 and 4:\n got  %+v\n want %+v", parallel, serial)
+	}
+}
+
+// stepPanic is the value a test plants in a backend's step.
+type stepPanic struct{ backend int }
+
+// TestClusterStepPanicSurfaces: a panic that is no contained fault,
+// raised inside a backend's step on its worker goroutine, must surface
+// from RunOpenLoop on the caller's goroutine rather than kill the
+// process — and when several backends panic in the same quantum, the
+// lowest index wins, whatever order the workers ran in.
+func TestClusterStepPanicSurfaces(t *testing.T) {
+	c := bootCluster(t, Options{Backends: 4, Mode: cubicle.ModeFull})
+	// One limit on the quantum grid for both: the driver advances every
+	// backend to the cluster clock each quantum, so both cross it in the
+	// same quantum.
+	var limit uint64
+	for _, b := range c.Backends {
+		limit = max(limit, b.T.Sys.M.Clock.Cycles())
+	}
+	limit = (limit/Quantum + 40) * Quantum
+	var fired [4]bool
+	for _, i := range []int{3, 1} {
+		c.Backends[i].T.Sys.M.Clock.SetOnAdvance(func(now uint64) {
+			if now >= limit {
+				fired[i] = true
+				panic(stepPanic{i})
+			}
+		})
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, _ = c.RunOpenLoop(RunOptions{Path: "/index.html", Rate: 4000, Requests: 400})
+	}()
+	if !fired[1] || !fired[3] {
+		t.Fatalf("planted panics fired on backends 1/3: %v/%v, want both in one quantum", fired[1], fired[3])
+	}
+	if got != (stepPanic{1}) {
+		t.Fatalf("RunOpenLoop raised %v, want the panic of backend 1", got)
 	}
 }
 

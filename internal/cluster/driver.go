@@ -1,11 +1,16 @@
 // The cluster driver: a deterministic open-loop load generator over the
 // fleet. Cluster time advances in fixed quanta; each quantum the driver
-// fires scripted chaos, launches due arrivals, steps every backend
+// launches due arrivals, fires scripted chaos, steps every backend
 // until its virtual clock catches up with the cluster clock, reconciles
 // the fleet's health view (drains, probes, re-admissions), and polls
 // every in-flight request for responses, timeouts, hedges and retries.
-// One goroutine, no wall-clock reads: the same seed replays the same
-// run bit for bit.
+//
+// The backends share nothing, so each quantum steps them in parallel on
+// the host's CPUs (siege.StepAll) and joins them before the reconcile.
+// Every decision that reads more than one backend — routing, health,
+// retries, hedges — runs on the driver's goroutine at that barrier, and
+// no step reads a wall clock: the same seed replays the same run bit for
+// bit, whatever the host's core count.
 
 package cluster
 
@@ -138,6 +143,7 @@ func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
 	start := c.now
 	nextAt := c.now + interval
 	scriptFired := 0
+	step := func(i int) { c.stepBackend(c.Backends[i]) }
 	for q := 0; r.completed < o.Requests && q < maxQ; q++ {
 		c.now += Quantum
 		for r.launched < o.Requests && nextAt <= c.now {
@@ -151,9 +157,7 @@ func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
 		// lands on requests already routed but not yet served, exactly
 		// the in-flight work a real crash takes down.
 		c.processScript(&scriptFired)
-		for _, b := range c.Backends {
-			c.stepBackend(b)
-		}
+		siege.StepAll(len(c.Backends), step)
 		c.reconcileHealth(o.Path)
 		r.pollFlights()
 	}
@@ -168,7 +172,9 @@ func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
 }
 
 // stepBackend advances one backend's virtual clock to the cluster
-// clock, driving its server loop and pumping its wire peer.
+// clock, driving its server loop and pumping its wire peer. It runs
+// concurrently with the other backends' steps, so it touches only b and
+// reads only the cluster clock.
 func (c *Cluster) stepBackend(b *Backend) {
 	clk := b.T.Sys.M.Clock
 	for i := 0; clk.Cycles() < c.now; i++ {
@@ -404,7 +410,8 @@ func (r *run) settle(f *flight, win *leg, resp *siege.KAResponse) {
 
 // pollFlights advances every live flight: sends on freshly-established
 // connections, reaps responses, fires hedges, and enforces timeouts and
-// retry backoffs.
+// retry backoffs. Settled flights then leave the list, order kept, so a
+// quantum's poll costs the flights in the air, not every arrival so far.
 func (r *run) pollFlights() {
 	for _, f := range r.flights {
 		if f.done {
@@ -484,6 +491,14 @@ func (r *run) pollFlights() {
 			}
 		}
 	}
+	kept := r.flights[:0]
+	for _, f := range r.flights {
+		if !f.done {
+			kept = append(kept, f)
+		}
+	}
+	clear(r.flights[len(kept):])
+	r.flights = kept
 }
 
 // assemble finalises the report: latency percentiles, goodput, and the

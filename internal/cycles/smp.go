@@ -16,13 +16,12 @@ package cycles
 // Concurrency contract: Clock itself stays unsynchronised (each core's
 // clock has exactly one writer — the worker driving that core). Barrier,
 // GVT and the accessors must only be called from the coordinating
-// goroutine while all workers are quiescent (e.g. after the scheduler's
-// quantum WaitGroup join), which is precisely when a barrier is defined.
+// goroutine while all workers are quiescent (e.g. after a quantum's
+// join), which is precisely when a barrier is defined.
 type Machine struct {
 	clocks []*Clock
 	gvt    uint64
-	// barriers counts Barrier calls (observability; the uksched quantum
-	// counter and this must agree when the scheduler drives the machine).
+	// barriers counts Barrier calls (observability).
 	barriers uint64
 }
 
@@ -39,8 +38,8 @@ func NewMachine(n int) *Machine {
 }
 
 // MachineOver adopts existing clocks as the machine's cores, one core per
-// clock. The sharded siege driver uses it to treat the boot clock of each
-// per-core system shard as that core's clock.
+// clock. The monitor uses it to build its machine over the per-core
+// clocks it already owns.
 func MachineOver(clocks ...*Clock) *Machine {
 	m := &Machine{clocks: make([]*Clock, len(clocks))}
 	copy(m.clocks, clocks)

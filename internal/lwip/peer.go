@@ -244,12 +244,13 @@ func (p *Peer) chunk() []byte {
 	return make([]byte, 0, recvChunk)
 }
 
-// Received returns everything received so far as one contiguous slice.
-// The slice is read-only and the buffer behind it is append-only: bytes
-// already returned are never rewritten, so slices taken from an earlier
-// call stay valid as more data arrives, and after Release. The first call
-// builds the buffer at its exact size; later calls append what arrived
-// since. Either way the receive chunks go back to the peer's free list.
+// Received returns everything received so far, less what Discard has
+// dropped, as one contiguous slice. The slice is read-only and the buffer
+// behind it is append-only: bytes already returned are never rewritten,
+// so slices taken from an earlier call stay valid as more data arrives,
+// after Discard, and after Release. The first call builds the buffer at
+// its exact size; later calls append what arrived since. Either way the
+// receive chunks go back to the peer's free list.
 func (c *PeerConn) Received() []byte {
 	if len(c.parts) == 0 {
 		return c.recv
@@ -269,7 +270,15 @@ func (c *PeerConn) Received() []byte {
 	return c.recv
 }
 
-// ReceivedLen returns the number of bytes received so far.
+// Discard drops the first n bytes of Received, which a reader has
+// consumed, so a long-lived connection holds only its unread tail. The
+// bytes are resliced away, not overwritten: slices of them handed out
+// earlier stay valid. n beyond what Received last returned is clamped.
+func (c *PeerConn) Discard(n int) {
+	c.recv = c.recv[min(n, len(c.recv)):]
+}
+
+// ReceivedLen returns the number of bytes Received would return.
 func (c *PeerConn) ReceivedLen() int {
 	n := len(c.recv)
 	for _, ch := range c.parts {

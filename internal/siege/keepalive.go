@@ -17,7 +17,7 @@ import (
 // warm is what makes hedged retries affordable.
 type KAConn struct {
 	Conn *lwip.PeerConn
-	off  int // receive-buffer bytes consumed by already-parsed responses
+	off  int // receive-buffer bytes consumed by parsed responses, not yet discarded
 	// Served counts responses parsed off this connection.
 	Served int
 	// SawClose latches once a response announced Connection: close (or
@@ -56,9 +56,12 @@ type KAResponse struct {
 // buffer. It returns (nil, nil) when more bytes are needed — drive the
 // system and Pump, then ask again. The response body is a read-only slice
 // of the connection's append-only receive buffer: it stays valid as later
-// responses arrive.
+// responses arrive. Once every received byte is parsed the connection
+// discards them, so a pooled connection holds at most its unread tail
+// however many responses it carries.
 func (k *KAConn) Next() (*KAResponse, error) {
-	buf := k.Conn.Received()[k.off:]
+	all := k.Conn.Received()
+	buf := all[k.off:]
 	hdrEnd := bytes.Index(buf, []byte("\r\n\r\n"))
 	if hdrEnd < 0 {
 		return nil, nil
@@ -98,6 +101,10 @@ func (k *KAConn) Next() (*KAResponse, error) {
 	}
 	body := buf[hdrEnd+4 : total : total]
 	k.off += total
+	if k.off == len(all) {
+		k.Conn.Discard(k.off)
+		k.off = 0
+	}
 	k.Served++
 	if closing {
 		k.SawClose = true

@@ -2,6 +2,7 @@ package siege
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -64,6 +65,44 @@ func TestKeepAliveReusesConnection(t *testing.T) {
 	}
 	if !k.Conn.FinRcvd {
 		t.Fatal("server did not close after Connection: close")
+	}
+}
+
+// TestKeepAliveReceiveBufferBounded: a pooled keep-alive connection
+// lives for a whole run, so its receive buffer must not keep every
+// response it ever carried. After each parsed response the buffer holds
+// at most one response, and discarding never rewrites bytes already
+// handed out: every earlier body still reads as served.
+func TestKeepAliveReceiveBufferBounded(t *testing.T) {
+	tg := MustNewTarget(cubicle.ModeFull)
+	const n = 40
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		// Distinct contents per file, so a reused buffer would show.
+		bodies[i] = bytes.Repeat([]byte{byte('a' + i%26), byte(i)}, 700+13*i)
+		if err := tg.PutFile(fmt.Sprintf("/ka%d.html", i), bodies[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := tg.OpenKA()
+	var got []*KAResponse
+	for i := 0; i < n; i++ {
+		r, err := tg.FetchKA(k, fmt.Sprintf("/ka%d.html", i))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if r.Status != 200 || !bytes.Equal(r.Body, bodies[i]) {
+			t.Fatalf("request %d: status %d, body %d bytes", i, r.Status, len(r.Body))
+		}
+		if held := len(k.Conn.Received()); held > 512+len(bodies[i]) {
+			t.Fatalf("after response %d the connection holds %d bytes, more than one response", i, held)
+		}
+		got = append(got, r)
+	}
+	for i, r := range got {
+		if !bytes.Equal(r.Body, bodies[i]) {
+			t.Fatalf("body of response %d changed after later responses arrived", i)
+		}
 	}
 }
 

@@ -34,6 +34,33 @@ func virtualView(ps *siege.ParallelStats) siege.ParallelStats {
 	return v
 }
 
+// TestStepAllJoinsAndRaisesLowestPanic: StepAll runs every step once,
+// even when some of them panic, and then re-raises the panic of the
+// lowest index on the caller's goroutine.
+func TestStepAllJoinsAndRaisesLowestPanic(t *testing.T) {
+	const n = 6
+	var ran [n]int
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		siege.StepAll(n, func(i int) {
+			ran[i]++
+			if i == 2 || i == 4 {
+				panic(i)
+			}
+		})
+	}()
+	if got != 2 {
+		t.Fatalf("StepAll raised %v, want the panic of index 2", got)
+	}
+	for i, r := range ran {
+		if r != 1 {
+			t.Fatalf("step %d ran %d times, want once", i, r)
+		}
+	}
+	siege.StepAll(0, func(i int) { t.Errorf("step %d of none ran", i) })
+}
+
 // TestParallelOpenLoopDeterministic is the siege-level determinism gate:
 // the same configuration driven five times produces identical virtual-time
 // results — counters, latency percentiles, per-shard stats, GVT and quantum

@@ -83,14 +83,14 @@ func parseTableDef(def string) ([]Column, int) {
 }
 
 // LoadCatalog reads the schema from the catalog tree.
-func LoadCatalog(p *Pager) (*Catalog, error) {
+func LoadCatalog(p *Pager) (cat *Catalog, err error) {
+	defer catchExec(&err)
 	c := &Catalog{
 		p:       p,
 		tree:    NewTableTree(p, p.CatalogRoot()),
 		tables:  make(map[string]*Table),
 		indexes: make(map[string]*Index),
 	}
-	var err error
 	c.tree.ScanTable(func(rowid int64, record []byte) bool {
 		var vals []Value
 		vals, err = DecodeRecord(record)

@@ -20,6 +20,18 @@ func fail(format string, args ...any) {
 	panic(execErr{fmt.Errorf("sqldb: "+format, args...)})
 }
 
+// catchExec, deferred, stops an execErr unwinding and stores its error in
+// *err. Other panics keep unwinding.
+func catchExec(err *error) {
+	if r := recover(); r != nil {
+		ee, ok := r.(execErr)
+		if !ok {
+			panic(r)
+		}
+		*err = ee.err
+	}
+}
+
 // tblCtx is one table binding in the current row context.
 type tblCtx struct {
 	alias string

@@ -20,6 +20,10 @@ go test -race -run FuzzSpanTLBDifferential ./internal/cubicle/
 go test -race ./internal/cubicle/...
 ./scripts/bench.sh -quick >/dev/null
 
+# Hostile page bytes: the sqldb page decoder's fuzz seeds (run as unit
+# tests) — corrupt counts, lengths and page types are typed errors.
+go test -run FuzzDecodePage ./internal/sqldb/
+
 go run ./cmd/cubicle-trace -format chrome -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format prom -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format json -requests 5 -check >/dev/null
@@ -38,7 +42,7 @@ go run ./cmd/httpbench -openloop -rates 1000,8000 -requests 120 -assert-degrade 
 # shootdowns, parallel siege, chaos under SMP) under the race detector,
 # the concurrent-retag fuzz seeds, and the 1-core byte-identity golden —
 # cores=1 must reproduce the pre-SMP Figure 7 exactly.
-go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/uksched/ ./internal/siege/ ./internal/cycles/
+go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/siege/ ./internal/cycles/
 go test -race -run FuzzSpanTLBConcurrent ./internal/cubicle/
 go run ./cmd/cubicle-bench -fig 7 | diff - cmd/cubicle-bench/testdata/fig7_seed.golden
 
@@ -69,11 +73,12 @@ go run ./cmd/cubicle-trace -replay -cores 4 -requests 10 -chaos-seed 7 -checkpoi
 
 # Cluster gates: the virtual cluster behind the health-aware balancer —
 # keep-alive/pipelining, wire-drop determinism, the failover suite (drain,
-# warm re-admission, retry budget, five-run DeepEqual under chaos) under
-# the race detector, and the end-to-end acceptance scenario: killing one
-# of four backends mid-flood keeps goodput >= 60% of steady state, the
-# victim is re-admitted after a warm restart, and two seeded runs are
-# bit-identical.
+# warm re-admission, retry budget, five-run DeepEqual under chaos, the
+# same run at GOMAXPROCS 1 and 4, a step panic surfacing from the
+# parallel stepper) under the race detector, and the end-to-end
+# acceptance scenario: killing one of four backends mid-flood keeps
+# goodput >= 60% of steady state, the victim is re-admitted after a warm
+# restart, and two seeded runs are bit-identical.
 go test -race ./internal/cluster/
 go test -race -run 'KeepAlive|HTTP10|WireDrop' ./internal/siege/ ./internal/netdev/ ./internal/faultinject/
 go run ./cmd/httpbench -cluster 4 -assert-degrade >/dev/null
